@@ -16,7 +16,7 @@
  *    where two ends of a queue must not be coupled into any ordering
  *    (e.g. between independently scheduled subsystems).
  *
- * Guard probes (canEnq/canDeq/size) are plain combinational reads for
+ * Guard probes (canEnq/canDeq/size/peek) are plain combinational reads for
  * use in Rule::when() fast guards and testbenches; rule bodies rely on
  * the implicit guards of enq/deq/first via cmd::require().
  */
@@ -90,6 +90,19 @@ class Fifo : public Module
     bool notFull() const { return canEnq(); }
     uint32_t size() const { return count_.read(); }
 
+    /**
+     * The oldest element, read exactly as first() reads it but without
+     * calling a method, so when() guards may look at it. Only
+     * meaningful when canDeq().
+     */
+    T
+    peek() const
+    {
+        uint32_t h = kind_ == FifoKind::Cf ? head_.readStable()
+                                           : head_.read();
+        return kind_ == FifoKind::Cf ? data_.readStable(h) : data_.read(h);
+    }
+
     // ---- interface methods
     /** Append an element; guarded by not-full. */
     void
@@ -124,9 +137,7 @@ class Fifo : public Module
     {
         firstM();
         require(guardCount() > 0);
-        uint32_t h = kind_ == FifoKind::Cf ? head_.readStable()
-                                           : head_.read();
-        return kind_ == FifoKind::Cf ? data_.readStable(h) : data_.read(h);
+        return peek();
     }
 
     /** Discard all contents (wrong-path flush). */

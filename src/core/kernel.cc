@@ -606,6 +606,7 @@ Kernel::tryFire(detail::ExecContext &c, Rule &r)
         c.guardThrows++;
         r.last_ = Rule::Outcome::GuardFalse;
         r.guardAborts_.inc();
+        r.guardThrows_.inc();
 #ifndef CMD_NO_OBS
         if (obs_)
             obs_->guardFailed(r, currentCycle(), r.domain_);
@@ -762,6 +763,7 @@ Kernel::fastFire(detail::ExecContext &c, const detail::CompiledEntry &e)
         c.guardThrows++;
         r.last_ = Rule::Outcome::GuardFalse;
         r.guardAborts_.inc();
+        r.guardThrows_.inc();
 #ifndef CMD_NO_OBS
         if (obs_)
             obs_->guardFailed(r, currentCycle(), r.domain_);
@@ -2026,6 +2028,7 @@ Kernel::report() const
         line.outcome = toString(r->last_);
         line.fired = r->firedCount();
         line.guardAborts = r->guardAbortCount();
+        line.guardThrows = r->guardThrowCount();
         line.cmAborts = r->cmAbortCount();
         line.domain = r->domain_;
         rep.rules.push_back(std::move(line));
@@ -2068,6 +2071,24 @@ KernelReport::text() const
        << " sleeps=" << sleeps << " wakes=" << wakes
        << " guardThrows=" << guardThrows
        << " fastGuardFails=" << fastGuardFails << '\n';
+    // The hottest throwers: each is a wait that belongs in when() or
+    // behind requireFast() (see DESIGN.md, exception-free guards).
+    std::vector<const RuleLine *> throwers;
+    for (const RuleLine &r : rules) {
+        if (r.guardThrows)
+            throwers.push_back(&r);
+    }
+    if (!throwers.empty()) {
+        std::stable_sort(throwers.begin(), throwers.end(),
+                         [](const RuleLine *a, const RuleLine *b) {
+                             return a->guardThrows > b->guardThrows;
+                         });
+        size_t n = std::min<size_t>(5, throwers.size());
+        os << "top guard throwers:";
+        for (size_t i = 0; i < n; i++)
+            os << ' ' << throwers[i]->name << '=' << throwers[i]->guardThrows;
+        os << '\n';
+    }
     if (std::string_view(scheduler) == "compiled")
         os << "compiled: fastRules=" << compiledFastRules << '\n';
     if (threads) {
@@ -2113,6 +2134,7 @@ KernelReport::json() const
         os << (i ? ", " : "") << "{\"name\": \"" << jsonEscape(r.name)
            << "\", \"last\": \"" << r.outcome << "\", \"fired\": " << r.fired
            << ", \"guard_aborts\": " << r.guardAborts
+           << ", \"guard_throws\": " << r.guardThrows
            << ", \"cm_aborts\": " << r.cmAborts
            << ", \"domain\": " << r.domain << "}";
     }

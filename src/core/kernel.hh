@@ -275,6 +275,7 @@ struct KernelReport
         const char *outcome; ///< toString(Rule::Outcome)
         uint64_t fired = 0;
         uint64_t guardAborts = 0;
+        uint64_t guardThrows = 0; ///< the thrown subset of guardAborts
         uint64_t cmAborts = 0;
         uint32_t domain = 0;
     };
@@ -828,6 +829,9 @@ class Rule
     uint64_t firedCount() const { return fired_.value(); }
     /** Aborts due to a false guard (explicit or implicit). */
     uint64_t guardAbortCount() const { return guardAborts_.value(); }
+    /** Guard aborts that took the slow path: a GuardFail thrown from
+     *  the body (a subset of guardAbortCount()). */
+    uint64_t guardThrowCount() const { return guardThrows_.value(); }
     /** Aborts due to CM conflicts with already-fired rules. */
     uint64_t cmAbortCount() const { return cmAborts_.value(); }
 
@@ -865,7 +869,7 @@ class Rule
     bool enabled_ = true;
     uint32_t prio_;  // registration order; schedule tiebreak
     uint32_t id_ = 0;
-    Stat fired_, guardAborts_, cmAborts_;
+    Stat fired_, guardAborts_, guardThrows_, cmAborts_;
     Outcome last_ = Outcome::NotTried;
 
     // Event-driven scheduler bookkeeping:

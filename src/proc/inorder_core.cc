@@ -63,7 +63,13 @@ InOrderCore::InOrderCore(Kernel &k, const std::string &name,
         .when([this] { return icache_.respLdReady(); })
         .uses({&icache_.respLdM});
     k.rule(name + ".doFetch3", [this] { doFetch3(); })
-        .when([this] { return f3q_->canDeq(); })
+        .when([this] {
+            if (!f3q_->canDeq())
+                return false;
+            FetchXlated x = f3q_->peek();
+            return (x.fault || fetchResp_.read(x.req.seq).valid) &&
+                   (epoch_->isStale(x.req.epoch) || instQ_->canEnq(1));
+        })
         .uses({&f3q_->firstM, &f3q_->deqM, &instQ_->enqM});
     k.rule(name + ".doExec", [this] { doExec(); })
         .when([this] { return instQ_->size() > 0; })

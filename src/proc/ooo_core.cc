@@ -206,8 +206,18 @@ OooCore::OooCore(Kernel &k, const std::string &name, uint32_t hartId,
         .when([this] { return icache_.respLdReady(); })
         .uses({&icache_.respLdM});
 
+    // The fetch-response and instruction-queue waits stall this rule
+    // on most cycles of a memory-bound run, so they sit in the guard
+    // (mirroring the body's order: a stale group, faulted or not,
+    // never needs queue space) instead of throwing from the body.
     k.rule(name + ".doFetch3", [this] { doFetch3(); })
-        .when([this] { return f3q_->canDeq(); })
+        .when([this] {
+            if (!f3q_->canDeq())
+                return false;
+            FetchXlated x = f3q_->peek();
+            return (x.fault || fetchResp_.read(x.req.seq).valid) &&
+                   (epoch_->isStale(x.req.epoch) || instQ_->canEnq(1));
+        })
         .uses({&f3q_->firstM, &f3q_->deqM, &instQ_->enqM, &bp_->predictM,
                &btb_->predictM, &btb_->updateM, &ras_->pushM, &ras_->popM,
                &epoch_->resteerM});
@@ -832,6 +842,10 @@ OooCore::doFetch3()
         }
     }
 
+    // The guard only ensured room for one uop; a group that no
+    // re-steer shortened may still not fit.
+    if (!requireFast(instQ_->canEnq(n)))
+        return;
     fetchGhr_.write(ghr);
     for (uint32_t i = 0; i < n; i++)
         group[i].epoch = epoch_->renameEpoch();
@@ -1706,20 +1720,23 @@ OooCore::doCommit()
                 const Lsq::LqEntry &le = lsq_->lqEntry(e0.lsqIdx);
                 if (le.valid && le.mmio)
                     panic("%s: atomic to MMIO space", name_.c_str());
-                require(le.valid && le.addrValid);
                 // All *older* stores must have drained (younger ones
                 // may legitimately sit in the SQ behind this LR).
-                require(lsq_->sqEmpty() ||
-                        lsq_->firstSt().memSeq > le.memSeq);
-                require(storeBuf_->empty());
+                if (!requireFast(le.valid && le.addrValid &&
+                                 (lsq_->sqEmpty() ||
+                                  lsq_->firstSt().memSeq > le.memSeq) &&
+                                 storeBuf_->empty()))
+                    return;
                 pendingAtomic_.write({true, true, e0.lsqIdx});
             } else {
                 const Lsq::SqEntry &se = lsq_->sqEntry(e0.lsqIdx);
                 if (se.valid && se.mmio)
                     panic("%s: atomic to MMIO space", name_.c_str());
-                require(se.valid && se.addrValid && se.dataValid);
-                require(lsq_->sqHeadIdx() == e0.lsqIdx &&
-                        storeBuf_->empty());
+                if (!requireFast(se.valid && se.addrValid &&
+                                 se.dataValid &&
+                                 lsq_->sqHeadIdx() == e0.lsqIdx &&
+                                 storeBuf_->empty()))
+                    return;
                 pendingAtomic_.write({true, false, e0.lsqIdx});
             }
             rob_->setAtCommitSent(rob_->frontIdx());
@@ -1727,11 +1744,13 @@ OooCore::doCommit()
         }
     if (e0.isMmio && i0.isMem()) {
         if (i0.isLq()) {
-            require(lsq_->lqHeadIdx() == e0.lsqIdx);
+            if (!requireFast(lsq_->lqHeadIdx() == e0.lsqIdx))
+                return;
             const Lsq::LqEntry &le = lsq_->lqEntry(e0.lsqIdx);
-            require(lsq_->sqEmpty() ||
-                    lsq_->firstSt().memSeq > le.memSeq);
-            require(storeBuf_->empty());
+            if (!requireFast((lsq_->sqEmpty() ||
+                              lsq_->firstSt().memSeq > le.memSeq) &&
+                             storeBuf_->empty()))
+                return;
             uint64_t raw = host_.load(hartId_, le.pa, k_.cycleCount());
             uint64_t val = loadExtend(i0.op, raw);
             lsq_->dropLd();
@@ -1753,9 +1772,11 @@ OooCore::doCommit()
             fetchToCommit_->sample(k_.cycleCount() - e0.fetchCycle);
             OBS_RETIRE(head0);
         } else {
-            require(lsq_->sqHeadIdx() == e0.lsqIdx);
+            if (!requireFast(lsq_->sqHeadIdx() == e0.lsqIdx))
+                return;
             const Lsq::SqEntry &se = lsq_->sqEntry(e0.lsqIdx);
-            require(se.dataValid && storeBuf_->empty());
+            if (!requireFast(se.dataValid && storeBuf_->empty()))
+                return;
             Addr pa = se.pa;
             uint64_t data = se.data;
             lsq_->deqSt();
@@ -1771,7 +1792,8 @@ OooCore::doCommit()
         return;
     }
 
-        require(false); // still waiting for completion
+        requireFast(false); // still waiting for completion
+        return;
     }
 
     // ---- single-instruction special cases at the head

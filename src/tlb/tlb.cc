@@ -383,8 +383,10 @@ L2Tlb::ruleStart()
 {
     // Blocking config: no new activity while any walk is in flight.
     if (cfg_.maxWalks == 1) {
-        for (uint32_t i = 0; i < walks_.size(); i++)
-            require(!walks_.read(i).valid);
+        for (uint32_t i = 0; i < walks_.size(); i++) {
+            if (!requireFast(!walks_.read(i).valid))
+                return;
+        }
     }
 
     uint32_t start = rrClient_.read();
@@ -438,7 +440,9 @@ L2Tlb::ruleStart()
         misses_.inc();
         return;
     }
-    require(false); // nothing to do
+    // Walker busy or duplicate walk: on a DTLB miss this is the common
+    // outcome, so it must not throw.
+    requireFast(false); // nothing to do
 }
 
 void

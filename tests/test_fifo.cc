@@ -178,6 +178,66 @@ TEST(Fifo, FirstPeeksWithoutRemoving)
     EXPECT_EQ(v, 9);
 }
 
+TEST(Fifo, PeekMatchesFirstAndIsLegalInGuards)
+{
+    for (FifoKind kind : {FifoKind::Pipeline, FifoKind::Bypass,
+                          FifoKind::Cf}) {
+        Kernel k;
+        Fifo<uint32_t> f(k, "f", 2, kind);
+        Reg<uint32_t> next(k, "next", 0);
+        uint32_t peeked = ~0u;
+        std::vector<uint32_t> got;
+        Rule &prod = k.rule("prod", [&] {
+                         f.enq(next.read());
+                         next.write(next.read() + 1);
+                     }).uses({&f.enqM});
+        // The guard looks at the head through peek() (a method call
+        // would fault outside the rule body); the body checks that
+        // first() sees the same element.
+        Rule &cons = k.rule("cons", [&] {
+                         uint32_t v = f.first();
+                         EXPECT_EQ(v, peeked);
+                         got.push_back(f.deq());
+                     })
+                         .when([&] {
+                             if (!f.canDeq())
+                                 return false;
+                             peeked = f.peek();
+                             return true;
+                         })
+                         .uses({&f.firstM, &f.deqM});
+        k.elaborate();
+        k.run(20);
+        ASSERT_GE(got.size(), 10u);
+        for (size_t i = 0; i < got.size(); i++)
+            EXPECT_EQ(got[i], i);
+        // Outside any rule too, peek() needs no enclosing transaction.
+        prod.setEnabled(false);
+        cons.setEnabled(false);
+        k.cycle();
+        if (!f.canDeq()) { // the bypass fifo drains every cycle
+            ASSERT_TRUE(k.runAtomically([&] { f.enq(99); }));
+            k.cycle();
+        }
+        ASSERT_TRUE(f.canDeq());
+        uint32_t v = ~0u;
+        ASSERT_TRUE(k.runAtomically([&] { v = f.first(); }));
+        EXPECT_EQ(f.peek(), v);
+    }
+}
+
+TEST(Fifo, FirstInGuardFaults)
+{
+    Kernel k;
+    PipelineFifo<int> f(k, "f", 2);
+    k.rule("bad", [&] { f.deq(); })
+        .when([&] { return f.canDeq() && f.first() == 0; })
+        .uses({&f.firstM, &f.deqM});
+    k.elaborate();
+    ASSERT_TRUE(k.runAtomically([&] { f.enq(0); }));
+    EXPECT_THROW(k.cycle(), KernelFault);
+}
+
 /** Randomized FIFO-vs-std::deque model check, one per kind. */
 class FifoModelTest : public ::testing::TestWithParam<FifoKind>
 {
