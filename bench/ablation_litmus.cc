@@ -1,7 +1,8 @@
 /**
  * @file
  * The litmus CI gate: full-corpus seed-matrix sweeps under both memory
- * models and both production schedulers, checked against the reference
+ * models and both production schedulers (event-driven and parallel),
+ * checked against the reference
  * enumerator; coverage obligations; a scheduler-equivalence cross
  * check; the negative control (TSO with the evict-kill disabled MUST
  * be caught, with a complete repro bundle); and a fuzz smoke campaign.
@@ -15,8 +16,8 @@
  *   g1 clean        zero forbidden outcomes and zero hangs everywhere
  *   g2 coverage     every per-entry mustObserve obligation reached
  *   g3 sched_equiv  per-cell outcome histograms identical under
- *                   EventDriven and Compiled, plus an exact per-seed
- *                   spot check under Exhaustive and Parallel
+ *                   EventDriven and Parallel, plus an exact per-seed
+ *                   spot check under Exhaustive
  *   g4 negative     MP under TSO with tsoEvictKill=false yields a
  *                   forbidden outcome within the seed matrix and the
  *                   repro bundle written for it is complete
@@ -43,18 +44,6 @@ using namespace riscy::litmus;
 using cmd::SchedulerKind;
 
 namespace {
-
-const char *
-schedName(SchedulerKind k)
-{
-    switch (k) {
-    case SchedulerKind::Exhaustive: return "exhaustive";
-    case SchedulerKind::EventDriven: return "event";
-    case SchedulerKind::Parallel: return "parallel";
-    case SchedulerKind::Compiled: return "compiled";
-    }
-    return "?";
-}
 
 uint64_t
 nowNs()
@@ -107,13 +96,13 @@ main(int argc, char **argv)
         outPath = pos[2];
 
     const SchedulerKind kMatrixScheds[] = {SchedulerKind::EventDriven,
-                                           SchedulerKind::Compiled};
+                                           SchedulerKind::Parallel};
 
     // ---- Main matrix: corpus x models x schedulers x seeds ----------
     std::printf("litmus gate: %zu programs x 2 models x 2 schedulers x "
                 "%u seeds (seed0=%" PRIu64 ")\n",
                 corpus().size(), runs, seed0);
-    std::printf("%-12s %-4s %-10s %9s %8s %9s %6s %6s\n", "test", "mdl",
+    std::printf("%-12s %-4s %-12s %9s %8s %9s %6s %6s\n", "test", "mdl",
                 "sched", "outcomes", "allowed", "forbidden", "hangs",
                 "cov");
 
@@ -133,9 +122,10 @@ main(int argc, char **argv)
                 c.sw = sweep(e.prog, cfg, seed0, runs);
                 c.wallNs = nowNs() - t0;
                 g1Clean &= c.sw.clean();
-                std::printf("%-12s %-4s %-10s %9zu %8zu %9zu %6u %5.0f%%%s\n",
-                            e.prog.name.c_str(), toString(m), schedName(sk),
-                            c.sw.hist.size(), c.sw.allowed.size(),
+                std::printf("%-12s %-4s %-12s %9zu %8zu %9zu %6u %5.0f%%%s\n",
+                            e.prog.name.c_str(), toString(m),
+                            cmd::toString(sk), c.sw.hist.size(),
+                            c.sw.allowed.size(),
                             c.sw.forbidden.size(), c.sw.hangs,
                             100.0 * c.sw.coverage(),
                             c.sw.clean() ? "" : "  <-- VIOLATION");
@@ -172,19 +162,19 @@ main(int argc, char **argv)
     // ---- g3: scheduler equivalence --------------------------------
     // The kernel guarantees identical cycle-level behavior across
     // schedulers, so per-cell histograms must match exactly between
-    // EventDriven and Compiled...
+    // EventDriven and Parallel...
     bool g3Sched = true;
     for (size_t i = 0; i + 1 < cells.size(); i += 2) {
         if (cells[i].sw.hist != cells[i + 1].sw.hist) {
             g3Sched = false;
             std::printf("scheduler DIVERGENCE: %s/%s histograms differ "
-                        "event vs compiled\n",
+                        "event vs parallel\n",
                         cells[i].entry->prog.name.c_str(),
                         toString(cells[i].model));
         }
     }
-    // ...plus an exact per-seed spot check under the two debug
-    // schedulers (too slow for the full matrix).
+    // ...plus an exact per-seed spot check under the exhaustive
+    // reference (too slow for the full matrix).
     for (const char *name : {"SB", "MP"}) {
         const CorpusEntry &e = corpusEntry(name);
         for (MemModel m : {MemModel::Tso, MemModel::Wmm}) {
@@ -194,16 +184,13 @@ main(int argc, char **argv)
                 cfg.seed = s;
                 cfg.sched = SchedulerKind::EventDriven;
                 RunResult ref = runOnce(e.prog, cfg);
-                for (SchedulerKind sk :
-                     {SchedulerKind::Exhaustive, SchedulerKind::Parallel}) {
-                    cfg.sched = sk;
-                    RunResult r = runOnce(e.prog, cfg);
-                    if (r.outcome != ref.outcome || r.hang != ref.hang) {
-                        g3Sched = false;
-                        std::printf("scheduler DIVERGENCE: %s/%s seed "
-                                    "%" PRIu64 " %s != event\n",
-                                    name, toString(m), s, schedName(sk));
-                    }
+                cfg.sched = SchedulerKind::Exhaustive;
+                RunResult r = runOnce(e.prog, cfg);
+                if (r.outcome != ref.outcome || r.hang != ref.hang) {
+                    g3Sched = false;
+                    std::printf("scheduler DIVERGENCE: %s/%s seed "
+                                "%" PRIu64 " exhaustive != event\n",
+                                name, toString(m), s);
                 }
             }
         }
@@ -261,8 +248,8 @@ main(int argc, char **argv)
     bench::JsonObject config;
     config.put("runs_per_cell", runs)
         .put("seed0", seed0)
-        .put("schedulers_matrix", "event,compiled")
-        .put("schedulers_spot", "exhaustive,parallel")
+        .put("schedulers_matrix", "event-driven,parallel")
+        .put("schedulers_spot", "exhaustive")
         .put("obligations", obligations)
         .put("obligations_met", obligationsMet)
         .put("negative_control_seed", negSw.firstForbiddenSeed)
@@ -279,7 +266,7 @@ main(int argc, char **argv)
         bench::JsonObject row;
         row.put("test", c.entry->prog.name)
             .put("model", toString(c.model))
-            .put("scheduler", schedName(c.sched))
+            .put("scheduler", cmd::toString(c.sched))
             .put("runs", runs)
             .put("outcomes_seen", uint64_t(c.sw.hist.size()))
             .put("outcomes_allowed", uint64_t(c.sw.allowed.size()))

@@ -4,9 +4,8 @@
  * PARSEC setup) running a data-parallel kernel under
  *
  *   - exhaustive      (reference sequential scheduler)
- *   - event-driven    (PR 1's sensitivity-tracked sequential walk)
- *   - compiled        (elaboration-time static schedule, PR 7)
- *   - parallel        (domain-partitioned execution, PR 2) swept over
+ *   - event-driven    (the sensitivity-tracked sequential walk)
+ *   - parallel        (domain-partitioned execution) swept over
  *                     lookahead {1, 2, 4, 8, fifo-min} x threads
  *                     {1, 2, 4} — the multi-cycle lookahead PDES
  *                     ablation: how much does replacing the per-cycle
@@ -43,23 +42,12 @@
 
 #include "asmkit/assembler.hh"
 #include "bench_common.hh"
+#include "core/digest.hh"
 
 using namespace riscy;
 using namespace riscy::bench;
 
 namespace {
-
-/** FNV-1a over a snapshot buffer: the architectural-state digest. */
-uint64_t
-digest(const std::vector<uint8_t> &bytes)
-{
-    uint64_t h = 1469598103934665603ull;
-    for (uint8_t b : bytes) {
-        h ^= b;
-        h *= 1099511628211ull;
-    }
-    return h;
-}
 
 struct Mode {
     std::string name;
@@ -114,7 +102,7 @@ runMode(System &sys, const Mode &m, const std::vector<uint8_t> &snap0,
     r.wallNs = static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
             .count());
-    r.stateDigest = digest(sys.kernel().snapshot());
+    r.stateDigest = cmd::fnv1a(sys.kernel().snapshot());
     for (uint32_t i = 0; i < cores; i++)
         r.instret += sys.instret(i);
     r.instret -= instret0; // stats accumulate across replays
@@ -168,7 +156,6 @@ main(int argc, char **argv)
     std::vector<Mode> modes = {
         {"exhaustive", cmd::SchedulerKind::Exhaustive, 0, 0},
         {"event", cmd::SchedulerKind::EventDriven, 0, 0},
-        {"compiled", cmd::SchedulerKind::Compiled, 0, 0},
     };
     // The PDES sweep: lookahead cap {1, 2, 4, 8, fifo-min(=0)} x
     // threads {1, 2, 4}. "parallel-N" (no suffix) is the fifo-min
@@ -363,7 +350,7 @@ main(int argc, char **argv)
                     t1 - t0)
                     .count());
             return std::make_pair(ns,
-                                  digest(ssys.kernel().snapshot()));
+                                  cmd::fnv1a(ssys.kernel().snapshot()));
         };
         auto evLeg = run1(cmd::SchedulerKind::EventDriven, 0);
         auto paLeg = run1(cmd::SchedulerKind::Parallel, 4);

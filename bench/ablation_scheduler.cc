@@ -1,50 +1,34 @@
 /**
  * @file
  * CMD-kernel scheduler ablation: exhaustive (attempt every rule every
- * cycle), event-driven (sensitivity tracking + sleep/wake), compiled
- * (elaboration-time static schedule with profile-guided fast-path
- * promotion) and compiled-static (every rule compiled fast, no
- * profiling) side by side, on workloads spanning the idleness
- * spectrum:
+ * cycle, the reference) against event-driven (sensitivity tracking +
+ * sleep/wake) on the idle shapes where sleeping pays:
  *
  *  - idle_pipeline: a deep FIFO pipeline fed one token every 128
  *    cycles, so a couple of stages carry tokens while ~190 sit empty
  *    — the idle-LSQ/TLB/L2 shape that dominates real system
- *    simulations, and the headline case for the event-driven win.
+ *    simulations.
  *  - idle_guards: 64 permanently not-ready rules — the pure
  *    sleep-forever case.
- *  - busy_pipeline / busy_deep: the pipeline saturated with tokens at
- *    two depths, so no rule can sleep — where the compiled fast path
- *    (fused dispatch, no sensitivity capture, CM-inert method-call
- *    elision, fused commit) earns its keep over both dynamic modes.
- *  - busy_chain: a saturated dual-lane pipeline whose move rules
- *    advance both lanes per firing — the widest-rule shape.
  *
  * Every stage rule goes through a per-stage StageCtl block: the
  * status probes and bookkeeping calls (epoch check, scoreboard
  * search, credit check, perf counter) that the paper's fig 15-20
- * stage rules make on every firing besides their fifo moves. A bare
- * fifo shuffle under-represents that interface-method traffic, and
- * per-method-call enforcement is exactly the tax the schedulers
- * differ on.
+ * stage rules make on every firing besides their fifo moves, so a
+ * firing stage costs what a real stage rule costs.
  *
  * Every run is checked for architectural equivalence (snapshot
- * digest) across all four modes, and results are written both as a
+ * digest) across both modes, and results are written both as a
  * human-readable table and as machine-readable BENCH_scheduler.json
- * so the perf trajectory can be tracked across PRs.
+ * so the perf trajectory can be tracked across changes.
  *
  * --ci additionally enforces the scheduler-regression gates:
- *   (1) the compiled scheduler must not be slower than the best
- *       dynamic mode (exhaustive or event-driven) on any workload;
- *   (2) compiled vs exhaustive must reach >= 2x geomean over the
- *       busy-pipeline suite;
- *   (3) the BENCH_scheduler.json must actually have been written —
+ *   (1) event-driven vs exhaustive must reach >= 2x geomean over the
+ *       idle suite, re-measured up to twice before failing so
+ *       wall-clock noise on a loaded runner does not flip the gate;
+ *   (2) the BENCH_scheduler.json must actually have been written —
  *       a CI run whose numbers cannot be archived is an error.
- * Close calls in (1) and (2) are re-measured up to twice before
- * failing, so wall-clock noise on a loaded runner does not flip the
- * gates.
  */
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -63,54 +47,12 @@ namespace {
 
 constexpr unsigned kIdleStages = 192;
 constexpr unsigned kIdleFeedInterval = 128;
-constexpr unsigned kBusyStages = 48;
-constexpr unsigned kDeepStages = 192;
-constexpr unsigned kChainLanes = 2;
-constexpr unsigned kChainStages = 48;
 uint64_t gCycles = 200000;
 int gReps = 3;
 
-/** FNV-1a over a snapshot buffer: the architectural-state digest. */
-uint64_t
-digest(const std::vector<uint8_t> &bytes)
-{
-    uint64_t h = 1469598103934665603ull;
-    for (uint8_t b : bytes) {
-        h ^= b;
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
-/** The four measured modes (compiled twice: profiled and static). */
-enum class Mode { Exhaustive, EventDriven, Compiled, CompiledStatic };
-
-constexpr Mode kModes[] = {Mode::Exhaustive, Mode::EventDriven,
-                           Mode::Compiled, Mode::CompiledStatic};
-
-const char *
-modeName(Mode m)
-{
-    switch (m) {
-    case Mode::Exhaustive:
-        return "exhaustive";
-    case Mode::EventDriven:
-        return "event";
-    case Mode::Compiled:
-        return "compiled";
-    case Mode::CompiledStatic:
-        return "compiled_static";
-    }
-    return "?";
-}
-
-SchedulerKind
-modeKind(Mode m)
-{
-    return m == Mode::Exhaustive    ? SchedulerKind::Exhaustive
-           : m == Mode::EventDriven ? SchedulerKind::EventDriven
-                                    : SchedulerKind::Compiled;
-}
+/** The two measured modes, in table/JSON order. */
+constexpr SchedulerKind kModes[] = {SchedulerKind::Exhaustive,
+                                    SchedulerKind::EventDriven};
 
 /**
  * Per-stage control block: the interface-method traffic a processor
@@ -120,7 +62,8 @@ modeKind(Mode m)
  * counter — the method-call mix of the paper's stage rules (fetch
  * consults the epoch and the BTB, execute searches the scoreboard and
  * the bypass network, ...). Every block is private to one stage rule,
- * so all methods are conflict-free and the rule stays CM-inert.
+ * so all its methods are conflict-free; each call still pays the
+ * kernel's per-call enforcement.
  */
 struct StageCtl : Module {
     Method &epochM = method("epoch");
@@ -202,7 +145,7 @@ struct StageCtl : Module {
     }
 };
 
-/** N-stage FIFO pipeline; feed throttled to one token per interval. */
+/** Deep FIFO pipeline; feed throttled to one token per interval. */
 struct Pipeline {
     Kernel k;
     std::vector<std::unique_ptr<PipelineFifo<uint64_t>>> q;
@@ -211,10 +154,10 @@ struct Pipeline {
     Reg<uint64_t> src;
     Reg<uint64_t> sink;
 
-    Pipeline(unsigned stages, unsigned feedInterval, SchedulerKind kind)
+    explicit Pipeline(SchedulerKind kind)
         : tick(k, "tick", 0), src(k, "src", 0), sink(k, "sink", 0)
     {
-        for (unsigned i = 0; i < stages; i++) {
+        for (unsigned i = 0; i < kIdleStages; i++) {
             q.push_back(std::make_unique<PipelineFifo<uint64_t>>(
                 k, strfmt("q%u", i), 2));
             ctl.push_back(
@@ -222,13 +165,13 @@ struct Pipeline {
         }
         k.rule("tick", [this] { tick.write(tick.read() + 1); });
         // requireFast: the exception-free implicit-guard exit.
-        k.rule("feed", [this, feedInterval] {
-            if (!requireFast(tick.read() % feedInterval == 0))
+        k.rule("feed", [this] {
+            if (!requireFast(tick.read() % kIdleFeedInterval == 0))
                 return;
             q.front()->enq(src.read());
             src.write(src.read() + 1);
         }).uses({&q.front()->enqM});
-        for (unsigned i = 0; i + 1 < stages; i++) {
+        for (unsigned i = 0; i + 1 < kIdleStages; i++) {
             auto *a = q[i].get();
             auto *b = q[i + 1].get();
             auto *c = ctl[i].get();
@@ -244,85 +187,6 @@ struct Pipeline {
             sink.write(sink.read() + q.back()->deq());
         }).when([this] { return q.back()->canDeq(); })
             .uses({&q.back()->deqM});
-        k.setScheduler(kind);
-        k.elaborate();
-    }
-};
-
-/**
- * Saturated multi-lane pipeline: one move rule per stage advances all
- * lanes together, so each firing makes lanes*2 interface-method calls.
- */
-struct ChainPipeline {
-    Kernel k;
-    std::vector<std::unique_ptr<PipelineFifo<uint64_t>>> q; // lane-major
-    std::vector<std::unique_ptr<StageCtl>> ctl;              // lane-major
-    Reg<uint64_t> src;
-    Reg<uint64_t> sink;
-
-    ChainPipeline(unsigned lanes, unsigned stages, SchedulerKind kind)
-        : src(k, "src", 0), sink(k, "sink", 0)
-    {
-        for (unsigned l = 0; l < lanes; l++) {
-            for (unsigned i = 0; i < stages; i++) {
-                q.push_back(std::make_unique<PipelineFifo<uint64_t>>(
-                    k, strfmt("q%u_%u", l, i), 2));
-                ctl.push_back(std::make_unique<StageCtl>(
-                    k, strfmt("ctl%u_%u", l, i)));
-            }
-        }
-        auto at = [this, stages](unsigned l, unsigned i) {
-            return q[l * stages + i].get();
-        };
-        auto ctlAt = [this, stages](unsigned l, unsigned i) {
-            return ctl[l * stages + i].get();
-        };
-        k.rule("feed", [this, at, lanes, stages] {
-            for (unsigned l = 0; l < lanes; l++)
-                at(l, 0)->enq(src.read() + l);
-            src.write(src.read() + 1);
-        })
-            .when([at, lanes] {
-                for (unsigned l = 0; l < lanes; l++)
-                    if (!at(l, 0)->canEnq())
-                        return false;
-                return true;
-            })
-            .uses({&at(0, 0)->enqM, &at(1, 0)->enqM});
-        for (unsigned i = 0; i + 1 < stages; i++) {
-            std::vector<const Method *> used;
-            for (unsigned l = 0; l < lanes; l++) {
-                for (const Method *m : ctlAt(l, i)->methods())
-                    used.push_back(m);
-                used.push_back(&at(l, i)->deqM);
-                used.push_back(&at(l, i + 1)->enqM);
-            }
-            k.rule(strfmt("move%u", i), [at, ctlAt, lanes, i] {
-                for (unsigned l = 0; l < lanes; l++)
-                    at(l, i + 1)->enq(ctlAt(l, i)->touch(at(l, i)->deq()));
-            })
-                .when([at, lanes, i] {
-                    for (unsigned l = 0; l < lanes; l++) {
-                        if (!at(l, i)->canDeq() || !at(l, i + 1)->canEnq())
-                            return false;
-                    }
-                    return true;
-                })
-                .uses(used);
-        }
-        k.rule("drain", [this, at, lanes, stages] {
-            uint64_t s = sink.read();
-            for (unsigned l = 0; l < lanes; l++)
-                s += at(l, stages - 1)->deq();
-            sink.write(s);
-        })
-            .when([at, lanes, stages] {
-                for (unsigned l = 0; l < lanes; l++)
-                    if (!at(l, stages - 1)->canDeq())
-                        return false;
-                return true;
-            })
-            .uses({&at(0, stages - 1)->deqM, &at(1, stages - 1)->deqM});
         k.setScheduler(kind);
         k.elaborate();
     }
@@ -349,19 +213,16 @@ struct RunStats {
     uint64_t stateDigest = 0;
     uint64_t attempts = 0;
     uint64_t sleepSkips = 0;
-    uint64_t fastRules = 0;
 };
 
-template <typename MakeDesign>
+template <typename Design>
 RunStats
-measure(MakeDesign make, Mode mode, int reps)
+measure(SchedulerKind kind, int reps)
 {
     RunStats best;
     for (int rep = 0; rep < reps; rep++) {
-        auto d = make(modeKind(mode));
+        auto d = std::make_unique<Design>(kind);
         Kernel &k = d->k;
-        if (mode == Mode::CompiledStatic)
-            k.setCompiledProfile(0);
         auto t0 = std::chrono::steady_clock::now();
         k.run(gCycles);
         auto t1 = std::chrono::steady_clock::now();
@@ -369,10 +230,9 @@ measure(MakeDesign make, Mode mode, int reps)
         double cps = double(gCycles) / secs;
         if (cps > best.cps) {
             best.cps = cps;
-            best.stateDigest = digest(k.snapshot());
+            best.stateDigest = fnv1a(k.snapshot());
             best.attempts = k.ruleAttemptCount();
             best.sleepSkips = k.sleepSkipCount();
-            best.fastRules = k.compiledFastRuleCount();
         }
     }
     return best;
@@ -380,44 +240,25 @@ measure(MakeDesign make, Mode mode, int reps)
 
 struct Workload {
     std::string name;
-    bool busy = false; ///< member of the busy-suite geomean gate
-    std::function<RunStats(Mode, int)> run;
-    RunStats m[4]; ///< indexed in kModes order
+    std::function<RunStats(SchedulerKind, int)> run;
+    RunStats ex, ev; ///< exhaustive, event-driven
+
+    RunStats &
+    at(SchedulerKind kind)
+    {
+        return kind == SchedulerKind::Exhaustive ? ex : ev;
+    }
+    bool digestsMatch() const { return ex.stateDigest == ev.stateDigest; }
+    double speedup() const { return ev.cps / ex.cps; }
 };
 
-const RunStats &
-stat(const Workload &w, Mode mode)
-{
-    return w.m[size_t(mode)];
-}
-
-bool
-digestsMatch(const Workload &w)
-{
-    for (Mode mode : kModes) {
-        if (stat(w, mode).stateDigest != stat(w, Mode::Exhaustive).stateDigest)
-            return false;
-    }
-    return true;
-}
-
+/** Event-vs-exhaustive geomean over the idle suite. */
 double
-bestDynamicCps(const Workload &w)
-{
-    return std::max(stat(w, Mode::Exhaustive).cps,
-                    stat(w, Mode::EventDriven).cps);
-}
-
-/** Compiled-vs-exhaustive geomean over the busy-suite workloads. */
-double
-busySuiteGeomean(const std::vector<Workload> &work)
+idleSuiteGeomean(const std::vector<Workload> &work)
 {
     std::vector<double> r;
-    for (const Workload &w : work) {
-        if (w.busy)
-            r.push_back(stat(w, Mode::Compiled).cps /
-                        stat(w, Mode::Exhaustive).cps);
-    }
+    for (const Workload &w : work)
+        r.push_back(w.speedup());
     return riscy::bench::geomean(r);
 }
 
@@ -453,130 +294,39 @@ main(int argc, char **argv)
         }
     }
 
-    std::vector<Workload> work;
-    work.push_back({"idle_pipeline", false,
-                    [](Mode mode, int reps) {
-                        return measure(
-                            [](SchedulerKind kk) {
-                                return std::make_unique<Pipeline>(
-                                    kIdleStages, kIdleFeedInterval, kk);
-                            },
-                            mode, reps);
-                    },
-                    {}});
-    work.push_back({"idle_guards", false,
-                    [](Mode mode, int reps) {
-                        return measure(
-                            [](SchedulerKind kk) {
-                                return std::make_unique<IdleGuards>(kk);
-                            },
-                            mode, reps);
-                    },
-                    {}});
-    work.push_back({"busy_pipeline", true,
-                    [](Mode mode, int reps) {
-                        return measure(
-                            [](SchedulerKind kk) {
-                                return std::make_unique<Pipeline>(
-                                    kBusyStages, 1, kk);
-                            },
-                            mode, reps);
-                    },
-                    {}});
-    work.push_back({"busy_deep", true,
-                    [](Mode mode, int reps) {
-                        return measure(
-                            [](SchedulerKind kk) {
-                                return std::make_unique<Pipeline>(
-                                    kDeepStages, 1, kk);
-                            },
-                            mode, reps);
-                    },
-                    {}});
-    work.push_back({"busy_chain", true,
-                    [](Mode mode, int reps) {
-                        return measure(
-                            [](SchedulerKind kk) {
-                                return std::make_unique<ChainPipeline>(
-                                    kChainLanes, kChainStages, kk);
-                            },
-                            mode, reps);
-                    },
-                    {}});
-
+    std::vector<Workload> work = {
+        {"idle_pipeline", measure<Pipeline>, {}, {}},
+        {"idle_guards", measure<IdleGuards>, {}, {}},
+    };
     for (Workload &w : work) {
-        for (Mode mode : kModes)
-            w.m[size_t(mode)] = w.run(mode, gReps);
+        for (SchedulerKind kind : kModes)
+            w.at(kind) = w.run(kind, gReps);
     }
 
-    // Gate (1) with de-flaking: a close loss on wall clock gets both
-    // contenders re-measured (best-of over all rounds) before we call
-    // it a regression.
-    bool gateSpeed = true;
-    if (ci) {
+    // Gate (1) de-flaking: the geomean rides on noisy wall clocks, so
+    // a close miss re-measures both sides of every ratio (best-of
+    // merge) before the gate decides.
+    for (int round = 0; ci && round < 2 && idleSuiteGeomean(work) < 2.0;
+         round++) {
+        std::printf("re-measuring idle suite (geomean %.2fx)\n",
+                    idleSuiteGeomean(work));
         for (Workload &w : work) {
-            for (int round = 0;
-                 round < 2 &&
-                 stat(w, Mode::Compiled).cps < bestDynamicCps(w);
-                 round++) {
-                std::printf("re-measuring %s (compiled %.0f c/s vs "
-                            "dynamic %.0f c/s)\n",
-                            w.name.c_str(), stat(w, Mode::Compiled).cps,
-                            bestDynamicCps(w));
-                for (Mode mode :
-                     {Mode::Exhaustive, Mode::EventDriven, Mode::Compiled}) {
-                    RunStats again = w.run(mode, gReps);
-                    if (again.cps > w.m[size_t(mode)].cps)
-                        w.m[size_t(mode)] = again;
-                }
-            }
-            if (stat(w, Mode::Compiled).cps < bestDynamicCps(w)) {
-                gateSpeed = false;
-                std::fprintf(stderr,
-                             "GATE: compiled slower than best dynamic "
-                             "mode on %s (%.0f < %.0f c/s)\n",
-                             w.name.c_str(), stat(w, Mode::Compiled).cps,
-                             bestDynamicCps(w));
-            }
-        }
-        // Gate (2) de-flaking: the geomean rides on the same noisy
-        // wall clocks, so a close miss re-measures both sides of every
-        // busy-suite ratio (best-of merge) before the gate decides.
-        for (int round = 0; round < 2 && busySuiteGeomean(work) < 2.0;
-             round++) {
-            std::printf("re-measuring busy suite (geomean %.2fx)\n",
-                        busySuiteGeomean(work));
-            for (Workload &w : work) {
-                if (!w.busy)
-                    continue;
-                for (Mode mode : {Mode::Exhaustive, Mode::Compiled}) {
-                    RunStats again = w.run(mode, gReps);
-                    if (again.cps > w.m[size_t(mode)].cps)
-                        w.m[size_t(mode)] = again;
-                }
+            for (SchedulerKind kind : kModes) {
+                RunStats again = w.run(kind, gReps);
+                if (again.cps > w.at(kind).cps)
+                    w.at(kind) = again;
             }
         }
     }
 
-    printf("%-14s %13s %13s %13s %13s %7s %7s %5s\n", "workload",
-           "exhaustive", "event", "compiled", "cmp_static", "co/ex",
-           "co/dyn", "state");
-    std::vector<double> busyVsEx;
+    printf("%-14s %13s %13s %8s %5s\n", "workload", "exhaustive", "event",
+           "ev/ex", "state");
     for (const Workload &w : work) {
-        double coEx =
-            stat(w, Mode::Compiled).cps / stat(w, Mode::Exhaustive).cps;
-        double coDyn = stat(w, Mode::Compiled).cps / bestDynamicCps(w);
-        if (w.busy)
-            busyVsEx.push_back(coEx);
-        printf("%-14s %13.0f %13.0f %13.0f %13.0f %6.2fx %6.2fx %5s\n",
-               w.name.c_str(), stat(w, Mode::Exhaustive).cps,
-               stat(w, Mode::EventDriven).cps, stat(w, Mode::Compiled).cps,
-               stat(w, Mode::CompiledStatic).cps, coEx, coDyn,
-               digestsMatch(w) ? "match" : "DIVERGE");
+        printf("%-14s %13.0f %13.0f %7.2fx %5s\n", w.name.c_str(), w.ex.cps,
+               w.ev.cps, w.speedup(), w.digestsMatch() ? "match" : "DIVERGE");
     }
-    double busyGeomean = riscy::bench::geomean(busyVsEx);
-    printf("busy-suite compiled-vs-exhaustive geomean: %.2fx\n",
-           busyGeomean);
+    double idleGeomean = idleSuiteGeomean(work);
+    printf("idle-suite event-vs-exhaustive geomean: %.2fx\n", idleGeomean);
 
     using riscy::bench::JsonObject;
     JsonObject cfg;
@@ -584,36 +334,23 @@ main(int argc, char **argv)
         .put("reps", gReps)
         .put("idle_stages", kIdleStages)
         .put("idle_feed_interval", kIdleFeedInterval)
-        .put("busy_stages", kBusyStages)
-        .put("deep_stages", kDeepStages)
-        .put("chain_lanes", kChainLanes)
-        .put("chain_stages", kChainStages)
-        .put("busy_geomean_compiled_vs_exhaustive", busyGeomean);
+        .put("idle_geomean_event_vs_exhaustive", idleGeomean);
     std::vector<JsonObject> out;
     for (const Workload &w : work) {
         JsonObject o;
         o.put("workload", w.name)
-            .put("busy_suite", w.busy)
             .put("cycles", gCycles)
-            .put("digest_match", digestsMatch(w));
-        for (Mode mode : kModes) {
-            const RunStats &s = stat(w, mode);
-            std::string p = modeName(mode);
-            o.put(p + "_cps", s.cps).put(p + "_attempts", s.attempts);
-        }
-        o.put("event_sleep_skips", stat(w, Mode::EventDriven).sleepSkips)
-            .put("compiled_fast_rules", stat(w, Mode::Compiled).fastRules)
-            .put("speedup_event", stat(w, Mode::EventDriven).cps /
-                                      stat(w, Mode::Exhaustive).cps)
-            .put("speedup_compiled", stat(w, Mode::Compiled).cps /
-                                         stat(w, Mode::Exhaustive).cps)
-            .put("compiled_vs_best_dynamic",
-                 stat(w, Mode::Compiled).cps / bestDynamicCps(w));
+            .put("digest_match", w.digestsMatch())
+            .put("exhaustive_cps", w.ex.cps)
+            .put("exhaustive_attempts", w.ex.attempts)
+            .put("event_cps", w.ev.cps)
+            .put("event_attempts", w.ev.attempts)
+            .put("event_sleep_skips", w.ev.sleepSkips)
+            .put("speedup_event", w.speedup());
         // Kernel-only microbench: the retired unit is a cycle, and the
-        // headline (compiled) run provides the wall time.
-        riscy::bench::putSimSpeed(
-            o, gCycles,
-            uint64_t(1e9 * double(gCycles) / stat(w, Mode::Compiled).cps));
+        // headline (event-driven) run provides the wall time.
+        riscy::bench::putSimSpeed(o, gCycles,
+                                  uint64_t(1e9 * double(gCycles) / w.ev.cps));
         out.push_back(std::move(o));
     }
     bool wrote =
@@ -629,16 +366,13 @@ main(int argc, char **argv)
 
     bool ok = true;
     for (const Workload &w : work)
-        ok = ok && digestsMatch(w);
-    if (ci) {
-        ok = ok && gateSpeed;
-        if (busyGeomean < 2.0) {
-            std::fprintf(stderr,
-                         "GATE: busy-suite compiled-vs-exhaustive "
-                         "geomean %.2fx < 2.0x\n",
-                         busyGeomean);
-            ok = false;
-        }
+        ok = ok && w.digestsMatch();
+    if (ci && idleGeomean < 2.0) {
+        std::fprintf(stderr,
+                     "GATE: idle-suite event-vs-exhaustive geomean "
+                     "%.2fx < 2.0x\n",
+                     idleGeomean);
+        ok = false;
     }
     return ok ? 0 : 1;
 }

@@ -26,10 +26,11 @@
  *                  superlinearity; the 32-core sweep's pre-knee region
  *                  is not flat — 32 cores contend on 4 banks from the
  *                  start — so the slope test is 16-core only)
- *   g3 digest      Event-driven vs Compiled replay of one fixed
- *                  16-core cycle window from the same snapshot ends
- *                  bit-identical (state digest + instret + completed
- *                  request count)
+ *   g3 digest      Event-driven vs Parallel (4 threads, fifo-min
+ *                  lookahead, as perfbench's kv_16c runs this
+ *                  machine) replay of one fixed 16-core cycle window
+ *                  from the same snapshot ends bit-identical (state
+ *                  digest + instret + completed request count)
  *   g4 dram        the contention model is actually exercised: DRAM
  *                  reads > 0 and 0 < rowHitRate <= 1 on every row
  */
@@ -43,6 +44,7 @@
 
 #include "bench_common.hh"
 #include "cache/l2_banks.hh"
+#include "core/digest.hh"
 #include "server/kv.hh"
 
 using namespace riscy;
@@ -51,18 +53,6 @@ using namespace riscy::bench;
 namespace {
 
 constexpr Addr kEntry = kDramBase;
-
-/** FNV-1a over a snapshot buffer: the architectural-state digest. */
-uint64_t
-digest(const std::vector<uint8_t> &bytes)
-{
-    uint64_t h = 1469598103934665603ull;
-    for (uint8_t b : bytes) {
-        h ^= b;
-        h *= 1099511628211ull;
-    }
-    return h;
-}
 
 /** Worker stacks above the code image and the KV table. */
 std::vector<Addr>
@@ -118,7 +108,7 @@ runSweepPoint(uint32_t cores, uint32_t banks, double load,
               uint32_t requests, uint64_t maxCycles)
 {
     SystemConfig cfg = SystemConfig::serverConfig(cores, banks);
-    cfg.scheduler = cmd::SchedulerKind::Compiled;
+    cfg.scheduler = cmd::SchedulerKind::EventDriven;
     cfg.obs.cpi = true;
     System sys(cfg);
 
@@ -178,11 +168,11 @@ runSweepPoint(uint32_t cores, uint32_t banks, double load,
     return r;
 }
 
-/** Event-vs-Compiled replay of one fixed window from one snapshot. */
+/** Event-vs-Parallel replay of one fixed window from one snapshot. */
 struct DigestLeg {
-    uint64_t evDigest = 0, coDigest = 0;
-    uint64_t evInstret = 0, coInstret = 0;
-    uint64_t evCompleted = 0, coCompleted = 0;
+    uint64_t evDigest = 0, paDigest = 0;
+    uint64_t evInstret = 0, paInstret = 0;
+    uint64_t evCompleted = 0, paCompleted = 0;
     bool match = false;
 };
 
@@ -192,6 +182,7 @@ runDigestLeg(uint32_t cores, uint32_t banks, double load,
 {
     SystemConfig cfg = SystemConfig::serverConfig(cores, banks);
     cfg.scheduler = cmd::SchedulerKind::EventDriven;
+    cfg.threads = 4;
     System sys(cfg);
 
     server::KvConfig kc = kvConfigFor(cores, load, requests);
@@ -220,7 +211,7 @@ runDigestLeg(uint32_t cores, uint32_t banks, double load,
         for (uint32_t i = 0; i < cores; i++)
             instret0 += sys.instret(i);
         sys.kernel().run(window);
-        dig = digest(sys.kernel().snapshot());
+        dig = cmd::fnv1a(sys.kernel().snapshot());
         for (uint32_t i = 0; i < cores; i++)
             instret += sys.instret(i);
         instret -= instret0;
@@ -231,10 +222,10 @@ runDigestLeg(uint32_t cores, uint32_t banks, double load,
     DigestLeg d;
     leg(cmd::SchedulerKind::EventDriven, d.evDigest, d.evInstret,
         d.evCompleted);
-    leg(cmd::SchedulerKind::Compiled, d.coDigest, d.coInstret,
-        d.coCompleted);
-    d.match = d.evDigest == d.coDigest && d.evInstret == d.coInstret &&
-              d.evCompleted == d.coCompleted;
+    leg(cmd::SchedulerKind::Parallel, d.paDigest, d.paInstret,
+        d.paCompleted);
+    d.match = sys.kernel().parallelActive() && d.evDigest == d.paDigest &&
+              d.evInstret == d.paInstret && d.evCompleted == d.paCompleted;
     return d;
 }
 
@@ -345,20 +336,20 @@ main(int argc, char **argv)
     }
 
     // g3: scheduler equivalence on the server topology under the KV
-    // workload — a fixed 16-core window, Event vs Compiled.
+    // workload — a fixed 16-core window, Event vs Parallel.
     DigestLeg d = runDigestLeg(16, 4, 60.0, 400, 30'000);
     std::printf("\ndigest leg (16c4b, 30k cycles): event %#018llx / "
-                "%llu instret / %llu done, compiled %#018llx / %llu "
+                "%llu instret / %llu done, parallel %#018llx / %llu "
                 "instret / %llu done -> %s\n",
                 (unsigned long long)d.evDigest,
                 (unsigned long long)d.evInstret,
                 (unsigned long long)d.evCompleted,
-                (unsigned long long)d.coDigest,
-                (unsigned long long)d.coInstret,
-                (unsigned long long)d.coCompleted,
+                (unsigned long long)d.paDigest,
+                (unsigned long long)d.paInstret,
+                (unsigned long long)d.paCompleted,
                 d.match ? "match" : "DIVERGENCE");
     if (!d.match) {
-        std::printf("GATE g3: event vs compiled diverged on the "
+        std::printf("GATE g3: event vs parallel diverged on the "
                     "server config\n");
         ok = false;
     }
@@ -370,7 +361,7 @@ main(int argc, char **argv)
         .put("zipf", 0.8)
         .put("put_frac", 0.1)
         .put("seed", uint64_t(1234))
-        .put("scheduler", "compiled");
+        .put("scheduler", "event-driven");
     std::vector<JsonObject> out;
     for (const SweepRow &r : rows) {
         JsonObject o;
@@ -408,10 +399,10 @@ main(int argc, char **argv)
     {
         JsonObject o;
         o.put("config", "server-16c4b")
-            .put("mode", "digest-event-vs-compiled")
+            .put("mode", "digest-event-vs-parallel")
             .put("cycles", uint64_t(30'000))
             .putHex("digest_event", d.evDigest)
-            .putHex("digest_compiled", d.coDigest)
+            .putHex("digest_parallel", d.paDigest)
             .put("instret", d.evInstret)
             .put("digest_match", d.match);
         out.push_back(std::move(o));

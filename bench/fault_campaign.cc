@@ -20,9 +20,10 @@
  * a register-file AVF slice (flips into hart0.prf, where SDCs
  * concentrate), a quad-core slice on the PARSEC multicore config
  * (faults land anywhere in four cores + the coherent hierarchy), and
- * a single-core slice under SchedulerKind::Compiled — whose golden
- * run must match the EventDriven golden commit-for-commit, making the
- * campaign double as a scheduler-equivalence check.
+ * the same quad-core slice under SchedulerKind::Parallel — whose
+ * golden run must match the EventDriven quad-core golden
+ * commit-for-commit, making the campaign double as a
+ * scheduler-equivalence check.
  *
  * The campaign is bit-reproducible: plans are a pure function of
  * (seed, design), and the whole campaign is run twice and compared.
@@ -38,6 +39,7 @@
 
 #include "asmkit/assembler.hh"
 #include "bench_common.hh"
+#include "core/digest.hh"
 #include "isa/csr.hh"
 
 using namespace riscy;
@@ -137,14 +139,14 @@ checksumWorkload()
 /** Order-sensitive FNV-1a over the architectural commit stream. */
 struct CommitDigest
 {
-    uint64_t h = 1469598103934665603ull;
+    uint64_t h = cmd::kFnvOffset;
     void
     add(const CommitRecord &r)
     {
         auto mix = [this](uint64_t v) {
             for (int i = 0; i < 8; i++) {
                 h ^= uint8_t(v >> (8 * i));
-                h *= 1099511628211ull;
+                h *= cmd::kFnvPrime;
             }
         };
         mix(r.pc);
@@ -165,18 +167,6 @@ struct RunResultF
     bool exited = false;
     std::string dump; ///< crash-dump body for detected/hang runs
 };
-
-const char *
-schedName(cmd::SchedulerKind k)
-{
-    switch (k) {
-      case cmd::SchedulerKind::Exhaustive: return "exhaustive";
-      case cmd::SchedulerKind::EventDriven: return "event";
-      case cmd::SchedulerKind::Parallel: return "parallel";
-      case cmd::SchedulerKind::Compiled: return "compiled";
-    }
-    return "?";
-}
 
 /** Leg geometry: which machine a run (and its plans) targets. */
 SystemConfig
@@ -239,7 +229,7 @@ runOne(const Assembler &prog, const FaultPlan *plan, uint64_t budget,
     auto foldDigest = [&] {
         uint64_t d = dig[0].h;
         for (uint32_t h = 1; h < cores; h++)
-            d = d * 1099511628211ull ^ dig[h].h;
+            d = d * cmd::kFnvPrime ^ dig[h].h;
         return d;
     };
     try {
@@ -292,7 +282,7 @@ runOne(const Assembler &prog, const FaultPlan *plan, uint64_t budget,
     // Secondary harts' exit codes ride the digest, so a divergent code
     // on any hart declassifies "masked" even when hart 0 agrees.
     for (uint32_t h = 1; h < cores; h++)
-        r.digest = r.digest * 1099511628211ull ^ sys.host().exitCode(h);
+        r.digest = r.digest * cmd::kFnvPrime ^ sys.host().exitCode(h);
     return r;
 }
 
@@ -319,9 +309,9 @@ main(int argc, char **argv)
     Assembler prog = checksumWorkload();
 
     // Golden references: one clean run per machine geometry, generous
-    // budget. The Compiled golden must match the EventDriven golden
-    // commit-for-commit — the campaign doubles as a scheduler-
-    // equivalence check.
+    // budget. The Parallel quad-core golden must match the EventDriven
+    // quad-core golden commit-for-commit — the campaign doubles as a
+    // scheduler-equivalence check.
     using cmd::SchedulerKind;
     struct LegSpec {
         const char *name;
@@ -340,8 +330,8 @@ main(int argc, char **argv)
          seed ^ 0x9e3779b97f4a7c15ull, "hart0.prf", {}},
         {"quad", 4, SchedulerKind::EventDriven, nSmall,
          seed ^ 0x71adc0deull, "", {}},
-        {"compiled", 1, SchedulerKind::Compiled, nSmall,
-         seed ^ 0xc09a11edull, "", {}},
+        {"parallel", 4, SchedulerKind::Parallel, nSmall,
+         seed ^ 0x9a7a11e1ull, "", {}},
     };
     for (LegSpec &leg : legs) {
         leg.golden = runOne(prog, nullptr, 4000000, 40000, leg.cores,
@@ -358,11 +348,12 @@ main(int argc, char **argv)
                     (unsigned long long)leg.golden.digest);
     }
     const bool schedEquiv =
-        legs[3].golden.digest == legs[0].golden.digest &&
-        legs[3].golden.exitCode == legs[0].golden.exitCode;
+        legs[3].golden.digest == legs[2].golden.digest &&
+        legs[3].golden.exitCode == legs[2].golden.exitCode &&
+        legs[3].golden.cycles == legs[2].golden.cycles;
     if (!schedEquiv)
-        std::fprintf(stderr, "Compiled golden DIVERGES from "
-                             "EventDriven golden\n");
+        std::fprintf(stderr, "Parallel quad-core golden DIVERGES from "
+                             "EventDriven quad-core golden\n");
 
     auto campaign = [&](std::vector<FaultPlan> &plansOut,
                         std::vector<uint32_t> &legOut) {
@@ -432,7 +423,7 @@ main(int argc, char **argv)
         row.put("index", uint64_t(i));
         row.put("leg", leg.name);
         row.put("cores", uint64_t(leg.cores));
-        row.put("scheduler", schedName(leg.sched));
+        row.put("scheduler", cmd::toString(leg.sched));
         row.put("fault", plans[i].describe());
         row.put("type", toString(plans[i].type));
         row.put("inject_cycle", plans[i].cycle);
@@ -444,7 +435,7 @@ main(int argc, char **argv)
     }
 
     std::printf("\ncampaign: %zu faults (%u general + %u regfile + "
-                "%u quad + %u compiled) -> %u masked, %u detected, "
+                "%u quad + %u parallel) -> %u masked, %u detected, "
                 "%u sdc, %u hang; reproducible=%s, "
                 "scheduler-equivalent=%s\n",
                 runs.size(), nFaults, nRfSlice, nSmall, nSmall,
@@ -458,7 +449,7 @@ main(int argc, char **argv)
     config.put("faults_general", uint64_t(nFaults));
     config.put("faults_regfile_slice", uint64_t(nRfSlice));
     config.put("faults_quad_slice", uint64_t(nSmall));
-    config.put("faults_compiled_slice", uint64_t(nSmall));
+    config.put("faults_parallel_slice", uint64_t(nSmall));
     config.put("golden_cycles", legs[0].golden.cycles);
     config.putHex("golden_digest", legs[0].golden.digest);
     config.put("golden_cycles_quad", legs[2].golden.cycles);

@@ -9,6 +9,7 @@
  */
 #pragma once
 
+#include "core/digest.hh"
 #include "core/ehr.hh"
 #include "core/fault.hh"
 #include "core/fifo.hh"

@@ -8,6 +8,8 @@
 #include <sstream>
 #include <thread>
 
+#include "core/digest.hh"
+
 namespace cmd {
 
 const char *
@@ -405,17 +407,6 @@ get64(const uint8_t *p)
 }
 } // namespace
 
-uint64_t
-CheckpointManager::fnv1a(const uint8_t *p, size_t n)
-{
-    uint64_t h = 1469598103934665603ull;
-    for (size_t i = 0; i < n; i++) {
-        h ^= p[i];
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
 CheckpointManager::CheckpointManager(Kernel &kernel, std::string path)
     : kernel_(kernel), path_(std::move(path))
 {
@@ -547,12 +538,6 @@ HardenedRunner::degrade()
         // quiesces; don't block recovery on it.
         for (int i = 0; i < 200 && !kernel_.parallelQuiesced(); i++)
             std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        kernel_.setScheduler(SchedulerKind::EventDriven);
-        break;
-      case SchedulerKind::Compiled:
-        // The compiled fast path trades enforcement for speed on the
-        // strength of an elaboration-time proof; after a fault, fall
-        // back to the fully checked dynamic scheduler.
         kernel_.setScheduler(SchedulerKind::EventDriven);
         break;
       case SchedulerKind::EventDriven:

@@ -233,9 +233,6 @@ class CheckpointManager
     const std::string &path() const { return path_; }
     uint64_t savedCount() const { return saves_; }
 
-    /** FNV-1a 64 over a byte range (also used by tests/bench). */
-    static uint64_t fnv1a(const uint8_t *p, size_t n);
-
   private:
     Kernel &kernel_;
     std::string path_;

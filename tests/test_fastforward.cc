@@ -11,6 +11,7 @@
  */
 #include <gtest/gtest.h>
 
+#include "core/digest.hh"
 #include "proc/system.hh"
 #include "workloads/workloads.hh"
 
@@ -31,13 +32,13 @@ spec(const std::string &name)
 
 /** FNV-1a over the timing-independent fields of a commit record. */
 struct CommitDigest {
-    uint64_t h = 1469598103934665603ull;
+    uint64_t h = cmd::kFnvOffset;
 
     void
     byte(uint8_t b)
     {
         h ^= b;
-        h *= 1099511628211ull;
+        h *= cmd::kFnvPrime;
     }
 
     void

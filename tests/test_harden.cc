@@ -25,13 +25,6 @@ using namespace cmd;
 
 namespace {
 
-/** FNV-1a over a snapshot buffer. */
-uint64_t
-digest(const std::vector<uint8_t> &bytes)
-{
-    return CheckpointManager::fnv1a(bytes.data(), bytes.size());
-}
-
 /** Temp file path unique to this test process. */
 std::string
 tmpPath(const char *tag)
@@ -116,7 +109,7 @@ TEST(Snapshot, RoundTripEveryStateType)
     EXPECT_EQ(d.sink.read(), sink0);
     EXPECT_EQ(d.tf.size(), tfOcc0);
     EXPECT_EQ(d.pf.canDeq(), pfDeq0);
-    EXPECT_EQ(digest(d.k.snapshot()), digest(snap));
+    EXPECT_EQ(fnv1a(d.k.snapshot()), fnv1a(snap));
 }
 
 /**
@@ -127,27 +120,21 @@ TEST(Snapshot, RoundTripEveryStateType)
 TEST(Snapshot, RestoreThenRunReplaysBitExactly)
 {
     for (SchedulerKind kind :
-         {SchedulerKind::Exhaustive, SchedulerKind::EventDriven,
-          SchedulerKind::Compiled}) {
+         {SchedulerKind::Exhaustive, SchedulerKind::EventDriven}) {
         AllState d(kind);
-        // Short profiling prefix: the snapshot is taken after the
-        // compiled scheduler re-specialized, so the replay exercises
-        // the fast-path dispatch table across a restore.
-        if (kind == SchedulerKind::Compiled)
-            d.k.setCompiledProfile(20);
         d.k.run(50);
         auto snap = d.k.snapshot();
 
         std::vector<uint64_t> ref;
         for (int i = 0; i < 40; i++) {
             d.k.cycle();
-            ref.push_back(digest(d.k.snapshot()));
+            ref.push_back(fnv1a(d.k.snapshot()));
         }
 
         d.k.restore(snap);
         for (int i = 0; i < 40; i++) {
             d.k.cycle();
-            ASSERT_EQ(digest(d.k.snapshot()), ref[i])
+            ASSERT_EQ(fnv1a(d.k.snapshot()), ref[i])
                 << "diverged " << i + 1 << " cycles after restore";
         }
     }
@@ -207,16 +194,7 @@ TEST(Injector, SameSeedSameOutcome)
     AllState a, b;
     auto refFired = runCampaign(a);
     EXPECT_EQ(refFired, runCampaign(b));
-    EXPECT_EQ(digest(a.k.snapshot()), digest(b.k.snapshot()));
-
-    // The same campaign under the compiled scheduler (profiling prefix
-    // plus re-specialized fast path both inside the 500-cycle window)
-    // lands on the same per-cycle fired counts and the same final
-    // state: fault injection composes with compiled dispatch.
-    AllState c(SchedulerKind::Compiled);
-    c.k.setCompiledProfile(50);
-    EXPECT_EQ(runCampaign(c), refFired);
-    EXPECT_EQ(digest(c.k.snapshot()), digest(a.k.snapshot()));
+    EXPECT_EQ(fnv1a(a.k.snapshot()), fnv1a(b.k.snapshot()));
 }
 
 TEST(Injector, BitFlipWakesSleepingRules)
@@ -443,7 +421,7 @@ TEST(Watchdog, NamesStarvedDomainUnderEverySchedulerKind)
 {
     for (SchedulerKind kind :
          {SchedulerKind::Exhaustive, SchedulerKind::EventDriven,
-          SchedulerKind::Parallel, SchedulerKind::Compiled}) {
+          SchedulerKind::Parallel}) {
         Wedgeable d(kind, 50);
         ASSERT_EQ(d.k.domainCount(), 2u);
         Watchdog wd(d.k, 200);
@@ -607,13 +585,13 @@ TEST(Checkpoint, DiskRoundTripReplaysBitExactly)
     std::vector<uint64_t> ref;
     for (int i = 0; i < 30; i++) {
         d.k.cycle();
-        ref.push_back(digest(d.k.snapshot()));
+        ref.push_back(fnv1a(d.k.snapshot()));
     }
 
     ASSERT_TRUE(ck.load());
     for (int i = 0; i < 30; i++) {
         d.k.cycle();
-        ASSERT_EQ(digest(d.k.snapshot()), ref[i])
+        ASSERT_EQ(fnv1a(d.k.snapshot()), ref[i])
             << "diverged " << i + 1 << " cycles after disk restore";
     }
 }
@@ -707,35 +685,6 @@ TEST(HardenedRunner, AbsorbsFaultAndDegradesScheduler)
     EXPECT_EQ(t.read(), 300u);
 }
 
-TEST(HardenedRunner, DegradesCompiledToEventDriven)
-{
-    // The compiled fast path trades dynamic bookkeeping for speed, so
-    // after a fault the runner must land on the fully checked
-    // event-driven scheduler, then Exhaustive on a second fault.
-    Kernel k;
-    k.setScheduler(SchedulerKind::Compiled);
-    k.setCompiledProfile(0); // fully static: fault fires on the fast path
-    Reg<uint64_t> t(k, "t", 0);
-    bool armed = true;
-    k.rule("run", [&] {
-        if (armed && t.read() == 100) {
-            armed = false;
-            kfault(FaultKind::DesignError, "testmod", "injected failure");
-        }
-        t.write(t.read() + 1);
-    });
-    k.elaborate();
-
-    HardenedConfig hc;
-    hc.watchdogStallCycles = 0;
-    HardenedRunner hr(k, hc);
-    EXPECT_TRUE(hr.run([&] { return t.read() >= 300; }, 10000));
-    EXPECT_EQ(hr.faultRetries(), 1u);
-    EXPECT_EQ(k.scheduler(), SchedulerKind::EventDriven)
-        << "Compiled should have degraded to the checked dynamic mode";
-    EXPECT_EQ(t.read(), 300u);
-}
-
 TEST(HardenedRunner, RestoresCheckpointOnWatchdogTrip)
 {
     TmpFile f("wdrestore");
@@ -809,14 +758,14 @@ TEST(Checkpoint, WindowedDiskRoundTripReplaysBitExactly)
     std::vector<uint64_t> ref;
     for (int i = 0; i < 10; i++) {
         d.k.run(8); // 2 windows per observation
-        ref.push_back(digest(d.k.snapshot()));
+        ref.push_back(fnv1a(d.k.snapshot()));
     }
 
     ASSERT_TRUE(ck.load()); // rewind to cycle 64
     EXPECT_EQ(d.k.cycleCount(), 64u);
     for (int i = 0; i < 10; i++) {
         d.k.run(8);
-        ASSERT_EQ(digest(d.k.snapshot()), ref[i])
+        ASSERT_EQ(fnv1a(d.k.snapshot()), ref[i])
             << "windowed replay diverged " << (i + 1) * 8
             << " cycles after restore";
     }
@@ -919,7 +868,7 @@ namespace {
 /** Order-sensitive FNV-1a digest of a commit stream. */
 struct CommitDigest
 {
-    uint64_t h = 1469598103934665603ull;
+    uint64_t h = kFnvOffset;
 
     void
     add(const riscy::CommitRecord &r)
@@ -927,7 +876,7 @@ struct CommitDigest
         auto mix = [this](uint64_t v) {
             for (int i = 0; i < 8; i++) {
                 h ^= uint8_t(v >> (8 * i));
-                h *= 1099511628211ull;
+                h *= kFnvPrime;
             }
         };
         mix(r.pc);

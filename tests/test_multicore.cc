@@ -8,6 +8,7 @@
  */
 #include <gtest/gtest.h>
 
+#include "core/digest.hh"
 #include "cosim.hh"
 
 using namespace riscy;
@@ -18,18 +19,6 @@ using namespace riscy::isa;
 namespace {
 
 constexpr Addr kData = kEntry + 0x40000;
-
-/** FNV-1a over a snapshot buffer. */
-uint64_t
-digest(const std::vector<uint8_t> &bytes)
-{
-    uint64_t h = 1469598103934665603ull;
-    for (uint8_t b : bytes) {
-        h ^= b;
-        h *= 1099511628211ull;
-    }
-    return h;
-}
 
 /** Emit "exit with code in a0" (per-hart). */
 void
@@ -416,7 +405,7 @@ TEST(Multicore, SixteenCoreBankedDigestCosim)
     std::vector<uint64_t> ref;
     for (uint64_t c = 0; c < kTotal; c += kChunk) {
         sys.kernel().run(kChunk);
-        ref.push_back(digest(sys.kernel().snapshot()));
+        ref.push_back(cmd::fnv1a(sys.kernel().snapshot()));
     }
     for (uint32_t i = 0; i < kCores; i++)
         EXPECT_GT(sys.instret(i), 50u) << "hart " << i << " barely ran";
@@ -431,12 +420,11 @@ TEST(Multicore, SixteenCoreBankedDigestCosim)
             sys.kernel().setLookahead(lookahead);
         for (uint64_t c = 0; c < kTotal; c += kChunk) {
             sys.kernel().run(kChunk);
-            ASSERT_EQ(ref[c / kChunk], digest(sys.kernel().snapshot()))
+            ASSERT_EQ(ref[c / kChunk], cmd::fnv1a(sys.kernel().snapshot()))
                 << label << " diverged by cycle " << c + kChunk;
         }
     };
     replay(cmd::SchedulerKind::EventDriven, 0, 0, "event");
-    replay(cmd::SchedulerKind::Compiled, 0, 0, "compiled");
     replay(cmd::SchedulerKind::Parallel, 4, 0, "parallel");
     ASSERT_TRUE(sys.kernel().parallelActive());
     // 16 hart domains + 4 bank-slice domains + the DRAM controller.

@@ -17,22 +17,6 @@
 
 using namespace cmd;
 
-namespace {
-
-/** FNV-1a over a snapshot buffer. */
-uint64_t
-digest(const std::vector<uint8_t> &bytes)
-{
-    uint64_t h = 1469598103934665603ull;
-    for (uint8_t b : bytes) {
-        h ^= b;
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
-} // namespace
-
 /**
  * A TimedFifo between two hint groups is a domain boundary: the two
  * sides partition into distinct domains and tokens still flow across.
@@ -130,7 +114,7 @@ TEST(Parallel, SharedModuleMergesDomains)
     for (int c = 0; c < 200; c++) {
         par.k.cycle();
         ex.k.cycle();
-        ASSERT_EQ(digest(ex.k.snapshot()), digest(par.k.snapshot()))
+        ASSERT_EQ(fnv1a(ex.k.snapshot()), fnv1a(par.k.snapshot()))
             << "diverged at cycle " << c + 1;
     }
     EXPECT_GT(par.b->read(), 0u);
@@ -256,7 +240,7 @@ TEST(Parallel, LockstepRandomSoups)
         std::vector<uint64_t> exDigests;
         for (int c = 0; c < kCycles; c++) {
             ex.k.cycle();
-            exDigests.push_back(digest(ex.k.snapshot()));
+            exDigests.push_back(fnv1a(ex.k.snapshot()));
         }
         // Every domain's ring sink must have accumulated something, or
         // the cross-domain path was never exercised.
@@ -273,7 +257,7 @@ TEST(Parallel, LockstepRandomSoups)
             ASSERT_TRUE(par.k.parallelActive());
             for (int c = 0; c < kCycles; c++) {
                 par.k.cycle();
-                ASSERT_EQ(exDigests[c], digest(par.k.snapshot()))
+                ASSERT_EQ(exDigests[c], fnv1a(par.k.snapshot()))
                     << "seed " << seed << " threads " << threads
                     << " diverged at cycle " << c + 1;
             }
@@ -302,7 +286,7 @@ TEST(Parallel, WindowedLookaheadCosim)
         std::vector<uint64_t> exDigests;
         for (uint64_t c = 0; c < kTotal; c += kChunk) {
             ex.k.run(kChunk);
-            exDigests.push_back(digest(ex.k.snapshot()));
+            exDigests.push_back(fnv1a(ex.k.snapshot()));
         }
 
         for (uint32_t threads : {1u, 2u, 4u}) {
@@ -316,7 +300,7 @@ TEST(Parallel, WindowedLookaheadCosim)
                 for (uint64_t c = 0; c < kTotal; c += kChunk) {
                     par.k.run(kChunk);
                     ASSERT_EQ(exDigests[c / kChunk],
-                              digest(par.k.snapshot()))
+                              fnv1a(par.k.snapshot()))
                         << "seed " << seed << " threads " << threads
                         << " lookahead " << la << " diverged by cycle "
                         << c + kChunk;
@@ -390,7 +374,7 @@ TEST(Parallel, SwitchingSchedulersMidRun)
         for (int c = 0; c < n; c++) {
             ex.k.cycle();
             sw.k.cycle();
-            ASSERT_EQ(digest(ex.k.snapshot()), digest(sw.k.snapshot()));
+            ASSERT_EQ(fnv1a(ex.k.snapshot()), fnv1a(sw.k.snapshot()));
         }
     };
     step(300);
@@ -401,6 +385,37 @@ TEST(Parallel, SwitchingSchedulersMidRun)
     step(300);
     sw.k.setScheduler(SchedulerKind::Parallel);
     step(300);
+}
+
+/**
+ * Every scheduler kind hands over to every other mid-run without a
+ * trace: one multi-domain soup goes EventDriven -> Exhaustive ->
+ * Parallel -> EventDriven, carrying sleep state and event wheels
+ * across each switch, and its digest tracks an exhaustive-only twin
+ * every cycle. The Parallel leg really runs on the domain pool.
+ */
+TEST(Scheduler, SwitchingSchedulersMidRunStaysBitIdentical)
+{
+    DomainSoup ex(7u, SchedulerKind::Exhaustive, 0);
+    DomainSoup sw(7u, SchedulerKind::EventDriven, 2);
+    ASSERT_GE(sw.k.domainCount(), 2u);
+    int cycleNum = 0;
+    for (SchedulerKind kind :
+         {SchedulerKind::EventDriven, SchedulerKind::Exhaustive,
+          SchedulerKind::Parallel, SchedulerKind::EventDriven}) {
+        sw.k.setScheduler(kind);
+        ASSERT_EQ(sw.k.parallelActive(), kind == SchedulerKind::Parallel);
+        for (int c = 0; c < 200; c++) {
+            ex.k.cycle();
+            sw.k.cycle();
+            cycleNum++;
+            ASSERT_EQ(fnv1a(ex.k.snapshot()), fnv1a(sw.k.snapshot()))
+                << "diverged at cycle " << cycleNum << " under "
+                << toString(kind);
+        }
+    }
+    // Not vacuous: the event-driven legs really slept rules.
+    EXPECT_GT(sw.k.sleepSkipCount(), 0u);
 }
 
 /**
@@ -456,7 +471,7 @@ TEST(Parallel, QuadCoreSystemReplay)
     std::vector<uint64_t> exDigests;
     for (uint64_t c = 0; c < kTotal; c += kChunk) {
         sys.kernel().run(kChunk);
-        exDigests.push_back(digest(sys.kernel().snapshot()));
+        exDigests.push_back(fnv1a(sys.kernel().snapshot()));
     }
     std::vector<uint64_t> exInstret;
     for (uint32_t i = 0; i < cfg.cores; i++) {
@@ -471,7 +486,7 @@ TEST(Parallel, QuadCoreSystemReplay)
     ASSERT_TRUE(sys.kernel().parallelActive());
     for (uint64_t c = 0; c < kTotal; c += kChunk) {
         sys.kernel().run(kChunk);
-        ASSERT_EQ(exDigests[c / kChunk], digest(sys.kernel().snapshot()))
+        ASSERT_EQ(exDigests[c / kChunk], fnv1a(sys.kernel().snapshot()))
             << "parallel diverged by cycle " << c + kChunk;
     }
     // instret is architectural state inside the snapshot, so the

@@ -18,22 +18,6 @@
 
 using namespace cmd;
 
-namespace {
-
-/** FNV-1a over a snapshot buffer. */
-uint64_t
-digest(const std::vector<uint8_t> &bytes)
-{
-    uint64_t h = 1469598103934665603ull;
-    for (uint8_t b : bytes) {
-        h ^= b;
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
-} // namespace
-
 TEST(Scheduler, SleepsOnFalseGuardAndWakesOnRuleCommit)
 {
     Kernel k;
@@ -353,7 +337,7 @@ TEST(Scheduler, LockstepRandomSoups)
         for (int c = 0; c < 2000; c++) {
             ex.k.cycle();
             ev.k.cycle();
-            ASSERT_EQ(digest(ex.k.snapshot()), digest(ev.k.snapshot()))
+            ASSERT_EQ(fnv1a(ex.k.snapshot()), fnv1a(ev.k.snapshot()))
                 << "seed " << seed << " diverged at cycle " << c + 1;
         }
         // The equivalence must not be vacuous: the event-driven run
@@ -361,143 +345,6 @@ TEST(Scheduler, LockstepRandomSoups)
         EXPECT_GT(ev.k.sleepSkipCount(), 0u) << "seed " << seed;
         EXPECT_LT(ev.k.ruleAttemptCount(), ex.k.ruleAttemptCount())
             << "seed " << seed;
-    }
-}
-
-/**
- * Four-way lockstep over the seeded soups with the compiled scheduler
- * in the mix. The short profiling prefix puts both compiled regimes —
- * the event-driven profiling walk and the re-specialized fast-path
- * dispatch — inside the comparison window, and the Parallel kernel
- * (single-domain here, so the sequential event walk) rides along so
- * every SchedulerKind is digest-compared against every other.
- */
-TEST(Scheduler, CompiledLockstepRandomSoups)
-{
-    for (uint32_t seed : {1u, 7u, 42u, 1234u}) {
-        Soup ex(seed, SchedulerKind::Exhaustive);
-        Soup co(seed, SchedulerKind::Compiled);
-        Soup pa(seed, SchedulerKind::Parallel);
-        co.k.setCompiledProfile(200);
-        for (int c = 0; c < 2000; c++) {
-            ex.k.cycle();
-            co.k.cycle();
-            pa.k.cycle();
-            uint64_t dx = digest(ex.k.snapshot());
-            ASSERT_EQ(dx, digest(co.k.snapshot()))
-                << "seed " << seed << ": compiled diverged at cycle "
-                << c + 1;
-            ASSERT_EQ(dx, digest(pa.k.snapshot()))
-                << "seed " << seed << ": parallel diverged at cycle "
-                << c + 1;
-        }
-        // Re-specialization really happened and really promoted work.
-        EXPECT_GT(co.k.compiledFastRuleCount(), 0u) << "seed " << seed;
-        EXPECT_STREQ(co.k.report().scheduler, "compiled");
-    }
-}
-
-/**
- * The fully static compile (profileCycles == 0): every rule goes fast
- * immediately, nothing ever sleeps, and the state evolution still
- * matches the exhaustive reference bit for bit.
- */
-TEST(Scheduler, CompiledStaticScheduleMatchesExhaustive)
-{
-    Soup ex(42u, SchedulerKind::Exhaustive);
-    Soup co(42u, SchedulerKind::Compiled);
-    co.k.setCompiledProfile(0);
-    EXPECT_EQ(co.k.compiledFastRuleCount(), uint32_t(co.k.rules().size()));
-    for (int c = 0; c < 1000; c++) {
-        ex.k.cycle();
-        co.k.cycle();
-        ASSERT_EQ(digest(ex.k.snapshot()), digest(co.k.snapshot()))
-            << "diverged at cycle " << c + 1;
-    }
-    // All-fast: the sleep machinery never engaged, and the attempt
-    // counts match the exhaustive scan exactly.
-    EXPECT_EQ(co.k.sleepCount(), 0u);
-    EXPECT_EQ(co.k.ruleAttemptCount(), ex.k.ruleAttemptCount());
-    EXPECT_EQ(co.k.report().compiledFastRules, uint32_t(co.k.rules().size()));
-}
-
-TEST(Compiled, RespecializationPromotesHotColdSplit)
-{
-    Kernel k;
-    k.setScheduler(SchedulerKind::Compiled);
-    k.setCompiledProfile(100);
-    Reg<uint64_t> tick(k, "tick", 0);
-    Reg<int> flag(k, "flag", 0);
-    Rule &hot = k.rule("hot", [&] { tick.write(tick.read() + 1); });
-    Rule &cold = k.rule("cold", [] {}).when([&] {
-        return flag.read() != 0;
-    });
-    k.elaborate();
-
-    k.run(300);
-    // The always-firing rule was promoted; the never-ready rule slept
-    // through the profiling prefix and stayed on the residue path.
-    EXPECT_EQ(k.compiledFastRuleCount(), 1u);
-    EXPECT_EQ(hot.firedCount(), 300u);
-    EXPECT_TRUE(cold.asleep());
-    // One attempt at the start, one after the respecialization
-    // wake-all; asleep in between and after.
-    EXPECT_EQ(cold.guardAbortCount(), 2u);
-
-    // Residue rules still wake on testbench commits to their
-    // sensitivity set — the mixed table keeps the waiter machinery.
-    EXPECT_TRUE(k.runAtomically([&] { flag.write(1); }));
-    EXPECT_FALSE(cold.asleep());
-    k.run(1);
-    EXPECT_EQ(cold.lastOutcome(), Rule::Outcome::Fired);
-}
-
-TEST(Compiled, CmEnforcementStillBlocksNonInertFastRules)
-{
-    // Same design as Scheduler.CmBlockedRuleStaysAwake, fully static
-    // compiled: both rules reach the fast path, but enq C enq makes
-    // them non-inert, so the second enq must still be CM-blocked every
-    // cycle exactly as under the checked schedulers.
-    Kernel k;
-    k.setScheduler(SchedulerKind::Compiled);
-    k.setCompiledProfile(0);
-    PipelineFifo<int> q(k, "q", 16);
-    Reg<int> src(k, "src", 0);
-    Rule &first =
-        k.rule("first", [&] { q.enq(src.read()); }).when([&] {
-            return q.canEnq();
-        }).uses({&q.enqM});
-    Rule &second =
-        k.rule("second", [&] { q.enq(src.read()); }).uses({&q.enqM});
-    k.elaborate();
-
-    k.run(5);
-    EXPECT_EQ(first.firedCount(), 5u);
-    EXPECT_EQ(second.cmAbortCount(), 5u);
-    EXPECT_EQ(second.lastOutcome(), Rule::Outcome::CmBlocked);
-}
-
-TEST(Compiled, SwitchingSchedulersMidRunStaysBitIdentical)
-{
-    // Bounce one soup across every scheduler kind mid-run and digest
-    // against an uninterrupted exhaustive reference each cycle.
-    Soup ex(7u, SchedulerKind::Exhaustive);
-    Soup sw(7u, SchedulerKind::Compiled);
-    sw.k.setCompiledProfile(50);
-    const SchedulerKind kinds[] = {
-        SchedulerKind::Compiled, SchedulerKind::EventDriven,
-        SchedulerKind::Compiled, SchedulerKind::Exhaustive,
-        SchedulerKind::Compiled};
-    int cycleNum = 0;
-    for (SchedulerKind kind : kinds) {
-        sw.k.setScheduler(kind);
-        for (int c = 0; c < 200; c++) {
-            ex.k.cycle();
-            sw.k.cycle();
-            cycleNum++;
-            ASSERT_EQ(digest(ex.k.snapshot()), digest(sw.k.snapshot()))
-                << "diverged at cycle " << cycleNum;
-        }
     }
 }
 
@@ -528,7 +375,7 @@ struct CommitLog {
 
 /**
  * The acceptance-criterion test: the full OOO core (RiscyOO-B config)
- * under the exhaustive, event-driven and compiled schedulers for
+ * under the exhaustive and event-driven schedulers for
  * >= 100k cycles, proven bit-identical by whole-kernel snapshot
  * digests.
  *
@@ -581,7 +428,7 @@ TEST(Scheduler, LockstepOooCore100kCycles)
     std::vector<uint64_t> exDigests;
     for (uint64_t c = 0; c < kTotal; c += kChunk) {
         sys.kernel().run(kChunk);
-        exDigests.push_back(digest(sys.kernel().snapshot()));
+        exDigests.push_back(fnv1a(sys.kernel().snapshot()));
     }
     uint64_t exAttempts = sys.kernel().ruleAttemptCount();
 
@@ -591,28 +438,13 @@ TEST(Scheduler, LockstepOooCore100kCycles)
     sys.kernel().setScheduler(cmd::SchedulerKind::EventDriven);
     for (uint64_t c = 0; c < kTotal; c += kChunk) {
         sys.kernel().run(kChunk);
-        ASSERT_EQ(exDigests[c / kChunk], digest(sys.kernel().snapshot()))
+        ASSERT_EQ(exDigests[c / kChunk], fnv1a(sys.kernel().snapshot()))
             << "schedulers diverged by cycle " << c + kChunk;
     }
     // The equivalence must not be vacuous: the OOO core really slept.
     uint64_t evAttempts = sys.kernel().ruleAttemptCount() - exAttempts;
     EXPECT_GT(sys.kernel().sleepSkipCount(), 0u);
     EXPECT_LT(evAttempts, exAttempts);
-
-    // Rewind once more and replay under the compiled scheduler: the
-    // run spans the default 1024-cycle profiling prefix and then the
-    // re-specialized fast-path dispatch for the remaining ~109k
-    // cycles, all of which must stay on the same digest trajectory.
-    sys.kernel().restore(snap0);
-    sys.kernel().setScheduler(cmd::SchedulerKind::Compiled);
-    for (uint64_t c = 0; c < kTotal; c += kChunk) {
-        sys.kernel().run(kChunk);
-        ASSERT_EQ(exDigests[c / kChunk], digest(sys.kernel().snapshot()))
-            << "compiled scheduler diverged by cycle " << c + kChunk;
-    }
-    // Non-vacuity: the profile really promoted rules to the fast path.
-    EXPECT_GT(sys.kernel().compiledFastRuleCount(), 0u);
-    EXPECT_STREQ(sys.kernel().report().scheduler, "compiled");
 }
 
 /**
